@@ -41,7 +41,7 @@ enum class ResponseStatus : uint8_t {
   // Request was understood but could not be answered (unknown user,
   // invalid top_n); error holds the reason.
   kError = 1,
-  // Admission control rejected the request: the target shard's queue was
+  // Admission control rejected the request: the admission queue was
   // full. The client may retry; nothing was dropped silently.
   kOverloaded = 2,
   // Server is draining after a shutdown request.

@@ -134,7 +134,7 @@ void RecommendBatch(const ServingSnapshot& snapshot,
   };
   if (index != nullptr) {
     // IVF path: one shortlist pass per unique (user, top_n), all sharing
-    // the shard's IvfIndex scratch.
+    // the worker's IvfIndex scratch.
     for (size_t i = 0; i < count; ++i) {
       if (resolved[i] <= 0) continue;
       const int64_t dup = duplicate_of(i);
@@ -292,10 +292,10 @@ std::vector<RecommendResponse> Recommend(
   std::vector<RecommendResponse> responses(requests.size());
   // IVF requires an index on the snapshot; without one the batch falls
   // back to exact scoring (counted, so a misconfigured deployment shows
-  // up in the metrics instead of silently serving slow).
-  const IvfIndex* index =
+  // up in the metrics instead of silently serving slow). Only the metrics
+  // read it, so -DIMSR_OBS=OFF leaves it unused.
+  [[maybe_unused]] const IvfIndex* index =
       config.retrieval == RetrievalMode::kIVF ? snapshot.index() : nullptr;
-  const bool use_ivf = index != nullptr;
   IMSR_OBS_ONLY({
     if (config.retrieval == RetrievalMode::kIVF && index == nullptr) {
       IMSR_COUNTER_ADD("serve/ivf_fallback_exact",
@@ -316,7 +316,7 @@ std::vector<RecommendResponse> Recommend(
   IMSR_COUNTER_ADD("serve/requests",
                    static_cast<int64_t>(requests.size()));
   IMSR_OBS_ONLY({
-    if (use_ivf) {
+    if (index != nullptr) {
       IMSR_COUNTER_ADD("serve/ivf_requests",
                        static_cast<int64_t>(requests.size()));
     }

@@ -53,7 +53,7 @@ struct ServeConfig {
 };
 
 // Scratch buffers for RecommendOne / RecommendBatch — one per worker
-// thread/shard, so the corpus-sized score arrays are allocated once, not
+// thread, so the corpus-sized score arrays are allocated once, not
 // per request.
 struct RecommendScratch {
   eval::RankScratch rank;
@@ -75,7 +75,7 @@ struct RecommendScratch {
 
 // Answers one request against `snapshot` into `response`, reusing
 // `scratch`. This is the single-request body the batch fan-out and the
-// server's shard workers share — bitwise-identical results on both
+// server's workers share — bitwise-identical results on both
 // paths. Per-request failures (unknown user, bad top_n) land in the
 // response (ok=false + error), never abort.
 void RecommendOne(const ServingSnapshot& snapshot,
@@ -93,8 +93,8 @@ void RecommendOne(const ServingSnapshot& snapshot,
 // Responses are bitwise identical to calling RecommendOne per request —
 // same kernel bodies, same per-user dispatch shapes, same error strings
 // (memcmp-tested at batch size 1 and N in server_test). This is the
-// shard worker's micro-batch entry point; unlike Recommend() it never
-// fans out, because parallelism already comes from the shards.
+// server worker's micro-batch entry point; unlike Recommend() it never
+// fans out, because parallelism already comes from the workers.
 void RecommendBatch(const ServingSnapshot& snapshot,
                     const RecommendRequest* requests, size_t count,
                     const ServeConfig& config, RecommendScratch* scratch,
@@ -109,7 +109,7 @@ std::vector<RecommendResponse> Recommend(
 
 // --- Response cache ---------------------------------------------------------
 //
-// Key for the per-shard serve response cache. The snapshot's data epoch
+// Key for the serve response cache. The snapshot's data epoch
 // (snapshot.h) is in the key, so a publish that changes scoring content
 // invalidates every older entry for free — stale entries age out of the
 // LRU tail instead of needing an explicit flush — while a

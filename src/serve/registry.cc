@@ -16,7 +16,7 @@ void SnapshotRegistry::Publish(std::shared_ptr<ServingSnapshot> snapshot) {
   // Data-epoch stamp: when the incoming snapshot would score every
   // request bitwise identically to the current one (a timed republish of
   // an unchanged model), carry the current epoch forward so epoch-keyed
-  // state — the per-shard response cache — stays warm across the publish.
+  // state — the striped response cache — stays warm across the publish.
   // Any real content change starts a fresh epoch (= this version), which
   // invalidates every cached response by key. The comparison costs one
   // memcmp sweep over the frozen tables, on the publisher's thread, never

@@ -42,19 +42,25 @@ size_t ShardOf(data::UserId user, size_t num_shards) {
 
 // --- ShardSet --------------------------------------------------------------
 
-ShardSet::Shard::Shard(size_t queue_cap)
-    : queue(queue_cap, {/*depth_histogram=*/"serve/shard_queue_depth",
-                        /*blocked_counter=*/"serve/shard_queue_blocked"}) {}
-
 ShardSet::ShardSet(const SnapshotRegistry* registry,
                    const ShardSetConfig& config)
-    : registry_(registry), config_(config) {
+    : registry_(registry),
+      config_(config),
+      queue_(config.queue_cap * static_cast<size_t>(
+                                    std::max(1, config.num_shards)),
+             {/*depth_histogram=*/"serve/admission_queue_depth",
+              /*blocked_counter=*/"serve/admission_queue_blocked"}) {
   IMSR_CHECK(registry != nullptr);
   IMSR_CHECK_GT(config.num_shards, 0);
   IMSR_CHECK_GT(config.queue_cap, 0u);
-  shards_.reserve(static_cast<size_t>(config.num_shards));
-  for (int i = 0; i < config.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config.queue_cap));
+  if (config.cache_bytes > 0) {
+    // The total budget splits evenly across the stripes.
+    const size_t stripes = static_cast<size_t>(config.num_shards);
+    const size_t per_stripe = std::max<size_t>(1, config.cache_bytes / stripes);
+    stripes_.reserve(stripes);
+    for (size_t i = 0; i < stripes; ++i) {
+      stripes_.push_back(std::make_unique<CacheStripe>(per_stripe));
+    }
   }
 }
 
@@ -63,43 +69,27 @@ ShardSet::~ShardSet() { Drain(); }
 void ShardSet::Start() {
   if (started_) return;
   started_ = true;
-  for (auto& shard : shards_) {
-    Shard* raw = shard.get();
-    shard->worker = std::thread([this, raw] { WorkerLoop(raw); });
+  workers_.reserve(static_cast<size_t>(config_.num_shards));
+  for (int i = 0; i < config_.num_shards; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
-void ShardSet::WorkerLoop(Shard* shard) {
+void ShardSet::WorkerLoop() {
   RecommendScratch scratch;
-  const int batch_max = std::max(1, config_.batch_max);
-  std::unique_ptr<ResponseCache> cache;
-  if (config_.cache_bytes > 0) {
-    // The total budget splits evenly; a per-shard cache needs no lock
-    // because only this worker thread touches it, and the user-hash
-    // routing already partitions the key space across shards.
-    const size_t per_shard =
-        std::max<size_t>(1, config_.cache_bytes / shards_.size());
-    cache = std::make_unique<ResponseCache>(per_shard);
-  }
-  uint64_t seen_hits = 0;
-  uint64_t seen_misses = 0;
-  uint64_t seen_evictions = 0;
+  const size_t batch_max = static_cast<size_t>(std::max(1, config_.batch_max));
+  const size_t workers = static_cast<size_t>(config_.num_shards);
+  const bool cached = !stripes_.empty();
   std::vector<Task> tasks;
   std::vector<ResponseFrame> frames;
   std::vector<RecommendRequest> misses;
   std::vector<size_t> miss_frame;
   std::vector<RecommendResponse> miss_responses;
-  Task task;
-  while (shard->queue.Pop(&task)) {
-    // Micro-batch drain: one blocking pop, then whatever is already
-    // waiting up to batch_max. A shallow queue yields a small batch
-    // immediately — batching never trades latency for throughput.
-    tasks.clear();
-    tasks.push_back(std::move(task));
-    while (static_cast<int>(tasks.size()) < batch_max &&
-           shard->queue.TryPop(&task)) {
-      tasks.push_back(std::move(task));
-    }
+  // Micro-batch drain: one blocking pop, then this worker's fair share of
+  // whatever is already waiting, up to batch_max. A shallow queue yields
+  // a small batch immediately and leaves the rest to idle workers —
+  // batching never trades latency for throughput.
+  while (queue_.PopBatch(&tasks, batch_max, workers)) {
     IMSR_OBS_ONLY(util::Stopwatch drain_timer;)
     // The snapshot is loaded once per batch, AFTER collecting it: every
     // batched request was admitted before this load, so no response is
@@ -107,6 +97,9 @@ void ShardSet::WorkerLoop(Shard* shard) {
     // request's admission (the freshness contract in DESIGN.md §15).
     const std::shared_ptr<const ServingSnapshot> snapshot =
         registry_->Current();
+    uint64_t hits = 0;
+    uint64_t lookups = 0;
+    uint64_t evictions = 0;
     frames.clear();
     frames.resize(tasks.size());
     misses.clear();
@@ -123,13 +116,17 @@ void ShardSet::WorkerLoop(Shard* shard) {
       RecommendRequest request;
       request.user = tasks[i].request.user;
       request.top_n = tasks[i].request.top_n;
-      if (cache != nullptr) {
+      if (cached) {
         const ResponseCacheKey key =
             MakeResponseCacheKey(*snapshot, request, config_.serve);
         // Unresolvable top_n (<= 0 after defaults) is an error response;
         // those never enter the cache, so skip the lookup too.
         if (key.top_n > 0) {
-          if (const auto* hit = cache->Get(key)) {
+          CacheStripe& stripe = StripeOf(request.user);
+          std::lock_guard<std::mutex> lock(stripe.mutex);
+          ++lookups;
+          if (const auto* hit = stripe.cache.Get(key)) {
+            ++hits;
             frame.status = ResponseStatus::kOk;
             frame.items = *hit;
             continue;
@@ -148,12 +145,20 @@ void ShardSet::WorkerLoop(Shard* shard) {
         RecommendResponse& response = miss_responses[r];
         if (response.ok) {
           frame.status = ResponseStatus::kOk;
-          if (cache != nullptr) {
+          if (cached) {
             // Only ok responses are cached: errors are cheap to redo and
             // must not mask a user appearing in a later snapshot.
-            cache->Put(MakeResponseCacheKey(*snapshot, misses[r],
-                                            config_.serve),
-                       response.items, ResponseCacheEntryBytes(response.items));
+            const ResponseCacheKey key =
+                MakeResponseCacheKey(*snapshot, misses[r], config_.serve);
+            const size_t bytes = ResponseCacheEntryBytes(response.items);
+            auto items = response.items;  // copied outside the lock
+            CacheStripe& stripe = StripeOf(misses[r].user);
+            std::lock_guard<std::mutex> lock(stripe.mutex);
+            const uint64_t evicted_before = stripe.cache.evictions();
+            stripe.cache.Put(key, std::move(items), bytes);
+            evictions += stripe.cache.evictions() - evicted_before;
+            stripe.bytes.store(stripe.cache.bytes(),
+                               std::memory_order_relaxed);
           }
           frame.items = std::move(response.items);
         } else {
@@ -163,39 +168,24 @@ void ShardSet::WorkerLoop(Shard* shard) {
       }
     }
     // Responses go out in arrival order within the batch (ordering across
-    // shards is still not promised — frames carry request_ids).
+    // workers is still not promised — frames carry request_ids).
     for (size_t i = 0; i < tasks.size(); ++i) {
       tasks[i].sink->SendResponse(frames[i]);
-      tasks[i].sink.reset();  // release the connection before blocking in Pop
+      tasks[i].sink.reset();  // release the connection before blocking
     }
     answered_.fetch_add(tasks.size(), std::memory_order_relaxed);
     batches_.fetch_add(1, std::memory_order_relaxed);
-    if (cache != nullptr) {
-      cache_hits_.fetch_add(cache->hits() - seen_hits,
-                            std::memory_order_relaxed);
-      cache_misses_.fetch_add(cache->misses() - seen_misses,
-                              std::memory_order_relaxed);
-      cache_evictions_.fetch_add(cache->evictions() - seen_evictions,
-                                 std::memory_order_relaxed);
-      IMSR_COUNTER_ADD("serve/cache_hits",
-                       static_cast<int64_t>(cache->hits() - seen_hits));
+    if (cached) {
+      cache_hits_.fetch_add(hits, std::memory_order_relaxed);
+      cache_misses_.fetch_add(lookups - hits, std::memory_order_relaxed);
+      cache_evictions_.fetch_add(evictions, std::memory_order_relaxed);
+      IMSR_COUNTER_ADD("serve/cache_hits", static_cast<int64_t>(hits));
       IMSR_COUNTER_ADD("serve/cache_misses",
-                       static_cast<int64_t>(cache->misses() - seen_misses));
-      IMSR_COUNTER_ADD(
-          "serve/cache_evictions",
-          static_cast<int64_t>(cache->evictions() - seen_evictions));
-      seen_hits = cache->hits();
-      seen_misses = cache->misses();
-      seen_evictions = cache->evictions();
-      shard->cache_bytes.store(cache->bytes(), std::memory_order_relaxed);
-      IMSR_OBS_ONLY({
-        uint64_t total_bytes = 0;
-        for (const auto& s : shards_) {
-          total_bytes += s->cache_bytes.load(std::memory_order_relaxed);
-        }
-        IMSR_GAUGE_SET("serve/cache_bytes",
-                       static_cast<double>(total_bytes));
-      })
+                       static_cast<int64_t>(lookups - hits));
+      IMSR_COUNTER_ADD("serve/cache_evictions",
+                       static_cast<int64_t>(evictions));
+      IMSR_GAUGE_SET("serve/cache_bytes",
+                     static_cast<double>(ResidentCacheBytes()));
     }
     IMSR_COUNTER_ADD("serve/shard_answered",
                      static_cast<int64_t>(tasks.size()));
@@ -212,11 +202,10 @@ bool ShardSet::Submit(const RequestFrame& request,
                       std::shared_ptr<ResponseSink> sink) {
   IMSR_CHECK(started_);
   IMSR_CHECK(sink != nullptr);
-  const size_t shard = ShardOf(request.user, shards_.size());
   Task task;
   task.request = request;
   task.sink = sink;
-  if (!shards_[shard]->queue.TryPush(std::move(task))) {
+  if (!queue_.TryPush(std::move(task))) {
     // Admission control: reject *now*, on the submitting thread, so the
     // client learns about overload instead of the queue growing or the
     // request vanishing.
@@ -225,7 +214,7 @@ bool ShardSet::Submit(const RequestFrame& request,
     ResponseFrame frame;
     frame.request_id = request.request_id;
     frame.status = ResponseStatus::kOverloaded;
-    frame.error = "shard " + std::to_string(shard) + " queue full";
+    frame.error = "admission queue full";
     sink->SendResponse(frame);
     return false;
   }
@@ -236,10 +225,16 @@ bool ShardSet::Submit(const RequestFrame& request,
 void ShardSet::Drain() {
   if (!started_ || drained_) return;
   drained_ = true;
-  for (auto& shard : shards_) shard->queue.Close();
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
+  queue_.Close();
+  for (std::thread& worker : workers_) worker.join();
+}
+
+uint64_t ShardSet::ResidentCacheBytes() const {
+  uint64_t bytes = 0;
+  for (const auto& stripe : stripes_) {
+    bytes += stripe->bytes.load(std::memory_order_relaxed);
   }
+  return bytes;
 }
 
 ShardSetStats ShardSet::stats() const {
@@ -251,16 +246,14 @@ ShardSetStats ShardSet::stats() const {
   stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   stats.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   stats.cache_evictions = cache_evictions_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    stats.cache_bytes += shard->cache_bytes.load(std::memory_order_relaxed);
-  }
+  stats.cache_bytes = ResidentCacheBytes();
   return stats;
 }
 
 // --- Server ----------------------------------------------------------------
 
 // One accepted socket. Reads happen only on the I/O thread; writes happen
-// from shard workers (and the admission path) under `write_mutex_`, so
+// from ShardSet workers (and the admission path) under `write_mutex_`, so
 // response frames never interleave. The destructor closes the fd — and
 // runs only once every queued response holding the shared_ptr has been
 // written, so a write can never hit a recycled descriptor.
@@ -461,7 +454,7 @@ void Server::Run() {
       }
     }
   }
-  // Graceful wind-down: stop accepting first, then let the shards finish
+  // Graceful wind-down: stop accepting first, then let the workers finish
   // every admitted request (their responses still flow through live
   // connections), then drop the connections.
   ::close(listen_fd_);

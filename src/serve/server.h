@@ -1,38 +1,44 @@
-// imsr_serve core: a sharded, concurrent recommendation server.
+// imsr_serve core: a concurrent recommendation server.
 //
 // Two layers, split so the concurrency core is testable without sockets:
 //
-//  * ShardSet — N worker shards, each owning a bounded task queue, a
-//    RecommendScratch, and (optionally) a snapshot-versioned response
-//    cache. Requests are hash-routed by user id (splitmix64, so
-//    consecutive ids spread evenly), answered against the lock-free
-//    SnapshotRegistry's current snapshot, and delivered through a
-//    ResponseSink. Admission control is explicit: a full shard queue
-//    rejects the request with a kOverloaded response on the submitting
-//    thread — queues never grow without bound and nothing is dropped
-//    silently.
+//  * ShardSet — N workers popping from ONE bounded admission queue, each
+//    with its own RecommendScratch, plus an optional snapshot-versioned
+//    response cache split into N stripes. Any worker can answer any
+//    request, so no worker idles while a request waits. Requests are
+//    answered against the lock-free SnapshotRegistry's current snapshot
+//    and delivered through a ResponseSink. Admission control is
+//    explicit: a full queue (capacity queue_cap x N) rejects the request
+//    with a kOverloaded response on the submitting thread — the queue
+//    never grows without bound and nothing is dropped silently.
 //
-//    Workers drain their queue in micro-batches: one blocking pop, then
-//    whatever is immediately available up to batch_max (no added latency
-//    when the queue is shallow — an empty queue yields a batch of one).
-//    Each batch is scored through serve::RecommendBatch, which fuses the
-//    unique users' corpus scans into one pass over the embedding table;
-//    responses are bitwise identical to the per-request RecommendOne
-//    path. The worker loads the registry's current snapshot once per
-//    batch, AFTER collecting it, so publishes land between batches and
-//    every response reflects a snapshot at least as new as the
-//    registry's current at that request's admission: every response is
-//    bitwise-consistent with exactly one snapshot version, never a
-//    stale one. Cache entries are keyed by (snapshot version, user,
-//    top_n, rule, retrieval, nprobe) — a publish invalidates by
-//    construction (DESIGN.md §15).
+//    Workers drain the queue in fair-share micro-batches: one blocking
+//    pop, then min(batch_max, 1 + remaining / N) requests in total
+//    (BoundedQueue::PopBatch). A shallow queue hands one request to each
+//    idle worker instead of one worker swallowing it as a batch; a deep
+//    queue still yields full batches. Nothing ever waits for a batch to
+//    fill. Each batch is scored through serve::RecommendBatch, which
+//    fuses the unique users' corpus scans into one pass over the
+//    embedding table; responses are bitwise identical to the
+//    per-request RecommendOne path. The worker loads the registry's
+//    current snapshot once per batch, AFTER collecting it, so publishes
+//    land between batches and every response reflects a snapshot at
+//    least as new as the registry's current at that request's admission:
+//    every response is bitwise-consistent with exactly one snapshot
+//    version, never a stale one.
+//
+//    The cache stripe for a user is ShardOf(user, N) (splitmix64, so
+//    consecutive ids spread evenly); each stripe is an LRU with its own
+//    mutex and a 1/N share of the byte budget. Entries are keyed by
+//    (data epoch, user, top_n, rule, retrieval, nprobe) — a publish that
+//    changes scoring content invalidates by construction (DESIGN.md §15).
 //
 //  * Server — the transport: one I/O thread runs accept + a poll()
 //    readiness loop over all connections (Unix-domain or TCP), reassembles
 //    protocol frames, and submits decoded requests to the ShardSet.
-//    Responses are written directly from shard workers under a
-//    per-connection write mutex (frames are atomic units; interleaving is
-//    prevented, ordering across shards is not promised — responses carry
+//    Responses are written directly from workers under a per-connection
+//    write mutex (frames are atomic units; interleaving is prevented,
+//    ordering across workers is not promised — responses carry
 //    request_ids). A connection is a shared_ptr whose destructor closes
 //    the fd, so a worker's late response write can never race a close.
 #ifndef IMSR_SERVE_SERVER_H_
@@ -54,7 +60,7 @@
 
 namespace imsr::serve {
 
-// Where a shard worker (or the admission path) delivers a finished
+// Where a worker (or the admission path) delivers a finished
 // response. Implementations must be safe to call from any thread.
 class ResponseSink {
  public:
@@ -63,28 +69,31 @@ class ResponseSink {
 };
 
 // splitmix64 of the user id modulo num_shards — deterministic, and
-// scrambles the low bits so sequential user ids spread across shards.
+// scrambles the low bits so sequential user ids spread across the
+// response-cache stripes.
 size_t ShardOf(data::UserId user, size_t num_shards);
 
 struct ShardSetConfig {
+  // Worker threads, and the number of response-cache stripes.
   int num_shards = 4;
-  // Per-shard queue bound; a full queue rejects (kOverloaded).
+  // Admission bound per worker: the shared queue holds
+  // queue_cap x num_shards requests; a full queue rejects (kOverloaded).
   size_t queue_cap = 256;
-  // Most requests a worker scores per queue drain. 1 restores the PR 9
+  // Most requests a worker scores per queue drain. 1 gives a
   // pop-score-respond loop; larger values amortise the corpus scan
-  // across whatever is already waiting (never adds latency — a shallow
-  // queue just yields a small batch).
+  // across whatever is already waiting, up to the worker's fair share
+  // (never adds latency — a shallow queue just yields a small batch).
   int batch_max = 32;
-  // Total response-cache budget in bytes, split evenly across shards.
+  // Total response-cache budget in bytes, split evenly across stripes.
   // 0 disables caching entirely.
   size_t cache_bytes = 0;
   // Scoring configuration (threads is ignored — parallelism comes from
-  // the shards themselves).
+  // the workers themselves).
   ServeConfig serve;
 };
 
 struct ShardSetStats {
-  uint64_t submitted = 0;  // accepted into a shard queue
+  uint64_t submitted = 0;  // accepted into the admission queue
   uint64_t rejected = 0;   // admission-control rejections
   uint64_t answered = 0;   // responses produced by workers
   uint64_t batches = 0;    // micro-batches drained (answered/batches =
@@ -92,7 +101,7 @@ struct ShardSetStats {
   uint64_t cache_hits = 0;       // responses served from the cache
   uint64_t cache_misses = 0;     // lookups that fell through to scoring
   uint64_t cache_evictions = 0;  // entries evicted by the byte budget
-  uint64_t cache_bytes = 0;      // resident cache bytes, summed over shards
+  uint64_t cache_bytes = 0;      // resident cache bytes, summed over stripes
 };
 
 class ShardSet {
@@ -107,40 +116,46 @@ class ShardSet {
 
   void Start();
 
-  // Routes `request` to its shard. Returns true when enqueued; false
-  // when the shard queue was full — in that case a kOverloaded response
-  // has already been delivered to `sink` on this thread. The sink is
-  // held (shared) until its response is written.
+  // Enqueues `request` for whichever worker is free first. Returns true
+  // when enqueued; false when the queue was full — in that case a
+  // kOverloaded response has already been delivered to `sink` on this
+  // thread. The sink is held (shared) until its response is written.
   bool Submit(const RequestFrame& request,
               std::shared_ptr<ResponseSink> sink);
 
-  // Closes every shard queue, lets workers drain what was admitted, and
+  // Closes the queue, lets the workers drain what was admitted, and
   // joins them. Every submitted request gets a response before Drain
   // returns. Idempotent.
   void Drain();
 
   ShardSetStats stats() const;
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int num_shards() const { return config_.num_shards; }
 
  private:
   struct Task {
     RequestFrame request;
     std::shared_ptr<ResponseSink> sink;
   };
-  struct Shard {
-    explicit Shard(size_t queue_cap);
-    util::BoundedQueue<Task> queue;
-    std::thread worker;
-    // Resident bytes of this shard's response cache (worker-written,
-    // stats()-read).
-    std::atomic<uint64_t> cache_bytes{0};
+  // One stripe of the response cache: the users ShardOf maps to it.
+  struct CacheStripe {
+    explicit CacheStripe(size_t byte_budget) : cache(byte_budget) {}
+    std::mutex mutex;
+    ResponseCache cache;  // guarded by mutex
+    // Resident bytes (written under mutex, read lock-free by stats()).
+    std::atomic<uint64_t> bytes{0};
   };
 
-  void WorkerLoop(Shard* shard);
+  void WorkerLoop();
+  uint64_t ResidentCacheBytes() const;
+  CacheStripe& StripeOf(data::UserId user) {
+    return *stripes_[ShardOf(user, stripes_.size())];
+  }
 
   const SnapshotRegistry* registry_;
   ShardSetConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  util::BoundedQueue<Task> queue_;
+  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<CacheStripe>> stripes_;  // empty: cache off
   bool started_ = false;
   bool drained_ = false;
   std::atomic<uint64_t> submitted_{0};
@@ -179,13 +194,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds + listens and starts the shard workers. False + error on bind
+  // Binds + listens and starts the ShardSet workers. False + error on bind
   // failure (path in use, privileged port, ...).
   bool Start(std::string* error);
 
   // Runs the accept/read poll loop on the calling thread until Shutdown()
   // or the configured stop flag. On exit: stops accepting, drains the
-  // shards (every admitted request is answered), then closes connections.
+  // ShardSet (every admitted request is answered), then closes connections.
   void Run();
 
   // Signals Run() to wind down; safe from any thread / signal context

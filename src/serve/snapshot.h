@@ -179,8 +179,8 @@ std::shared_ptr<ServingSnapshot> BuildSnapshot(
 // exported embedding bytes are bitwise-equal to prev's, returns a
 // snapshot sharing prev's frozen content — no corpus-sized re-export,
 // no k-major repack, no index rebuild; the publish then carries the
-// data epoch forward via an O(1) pointer compare, keeping every shard's
-// response cache warm. Returns nullptr when anything changed (or prev
+// data epoch forward via an O(1) pointer compare, keeping the response
+// cache warm. Returns nullptr when anything changed (or prev
 // is null / hand-assembled): the caller falls back to a full
 // BuildSnapshot. The embedding check still exports and memcmps the
 // (num_items x d) table — cheap next to the per-user export — so a

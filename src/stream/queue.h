@@ -1,7 +1,7 @@
 // BoundedEventQueue — the backpressure point between ingestion and the
 // micro-span trainer: util::BoundedQueue of StreamEvents with the
 // stream/* metric names bound. See util/bounded_queue.h for the blocking
-// and close semantics (shared verbatim with the server's shard queues).
+// and close semantics (shared verbatim with the server's admission queue).
 #ifndef IMSR_STREAM_QUEUE_H_
 #define IMSR_STREAM_QUEUE_H_
 

@@ -1,24 +1,27 @@
 // BoundedQueue — the process's one blocking MPMC queue, shared by the
 // streaming pipeline (stream::BoundedEventQueue) and the server's
-// per-shard request queues (serve::ShardSet).
+// admission queue (serve::ShardSet, drained by every worker through
+// PopBatch).
 //
 // Contract: Push() blocks while the queue is full (the producer slows to
 // the consumer's pace instead of growing an unbounded backlog), TryPush()
 // rejects instead of waiting (the admission-control primitive: the caller
-// turns the rejection into an explicit overload response), Pop() blocks
-// while the queue is empty, and Close() wakes everyone — pushes after
-// Close are rejected and pops drain whatever is still buffered before
-// reporting end-of-stream. Depth statistics (high-water mark, number of
+// turns the rejection into an explicit overload response), Pop() and
+// PopBatch() block while the queue is empty, and Close() wakes everyone —
+// pushes after Close are rejected and pops drain whatever is still
+// buffered before reporting end-of-stream. Depth statistics (high-water mark, number of
 // pushes that had to wait) feed backpressure accounting: a queue pinned
 // at capacity means the consumer is falling behind arrivals.
 #ifndef IMSR_UTIL_BOUNDED_QUEUE_H_
 #define IMSR_UTIL_BOUNDED_QUEUE_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -106,16 +109,34 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking pop; false when nothing is buffered.
-  bool TryPop(T* item) {
-    IMSR_CHECK(item != nullptr);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (items_.empty()) return false;
-      *item = std::move(items_.front());
+  // Blocks like Pop() for the first item, then, under the same lock,
+  // takes this consumer's fair share of what is left:
+  //   min(max_items, 1 + remaining / consumers)
+  // items in total, where `remaining` is the depth after the first pop.
+  // A queue shallower than `consumers` thus hands out one item per pop,
+  // leaving the rest to the other consumers, while a deep queue still
+  // yields max_items. Replaces `out`'s contents; returns false (with
+  // `out` empty) iff the queue is closed and fully drained.
+  bool PopBatch(std::vector<T>* out, size_t max_items, size_t consumers) {
+    IMSR_CHECK(out != nullptr);
+    IMSR_CHECK_GT(max_items, 0u);
+    IMSR_CHECK_GT(consumers, 0u);
+    out->clear();
+    std::unique_lock<std::mutex> lock(mutex_);
+    not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
+    if (items_.empty()) return false;
+    const size_t take =
+        std::min(max_items, 1 + (items_.size() - 1) / consumers);
+    for (size_t i = 0; i < take; ++i) {
+      out->push_back(std::move(items_.front()));
       items_.pop_front();
     }
-    not_full_.notify_one();
+    lock.unlock();
+    if (take == 1) {
+      not_full_.notify_one();
+    } else {
+      not_full_.notify_all();
+    }
     return true;
   }
 

@@ -67,7 +67,7 @@ std::string SuggestFlagName(const std::string& name,
 class FlagSet {
  public:
   // `program` and `synopsis` head the generated help text, e.g.
-  // FlagSet("imsr_serve", "long-lived sharded recommendation server").
+  // FlagSet("imsr_serve", "concurrent recommendation server").
   FlagSet(std::string program, std::string synopsis);
 
   // Registration. Duplicate names abort (programmer error). The help

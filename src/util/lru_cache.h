@@ -1,5 +1,5 @@
 // LruCache — a byte-budgeted least-recently-used map, the storage behind
-// the serve path's per-shard response cache (DESIGN.md §15).
+// each stripe of the serve path's response cache (DESIGN.md §15).
 //
 // Eviction is by bytes, not entry count: every Put carries the caller's
 // estimate of the entry's footprint, and inserts evict from the cold tail
@@ -8,9 +8,8 @@
 // resident (then evicted by the next insert) — the cache never rejects,
 // it only forgets.
 //
-// NOT thread-safe. Each serve shard owns one instance and touches it only
-// from its worker thread; a shared cache would put a lock on the hot
-// path for no benefit since shards already partition users.
+// NOT thread-safe. The serve path guards each stripe's instance with the
+// stripe's own mutex.
 #ifndef IMSR_UTIL_LRU_CACHE_H_
 #define IMSR_UTIL_LRU_CACHE_H_
 

@@ -56,7 +56,7 @@ run_cell() {
     sleep 0.1
   done
 
-  # Bursty, hot-user-skewed load. Depth+bursts overshoot the shard queues
+  # Bursty, hot-user-skewed load. Depth+bursts overshoot the admission queue
   # on purpose; overloaded responses are fine (admission control working),
   # failures are not.
   "$LOADGEN" --socket="$SOCK" --connections=4 --depth=8 --requests=8000 \

@@ -1,9 +1,10 @@
 // Tests for the serving transport and concurrency core: wire-protocol
 // round-trips and decode hardening (truncation, bit flips, bad tags),
-// FrameAssembler reassembly from arbitrarily-chunked streams, shard
-// routing determinism, ShardSet admission control and drain guarantees,
-// publish-while-serving bitwise consistency, and a socket end-to-end
-// pass against a live Server.
+// FrameAssembler reassembly from arbitrarily-chunked streams, cache
+// stripe routing determinism, ShardSet admission control, shared-queue
+// fairness and drain guarantees, the striped response cache across
+// workers, publish-while-serving bitwise consistency, and a socket
+// end-to-end pass against a live Server.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,7 +12,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <map>
@@ -256,19 +259,36 @@ class CollectSink : public ResponseSink {
   void SendResponse(const ResponseFrame& response) override {
     std::lock_guard<std::mutex> lock(mutex_);
     responses_.push_back(response);
+    threads_.push_back(std::this_thread::get_id());
   }
   std::vector<ResponseFrame> responses() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return responses_;
   }
+  // The thread that delivered each response, in delivery order.
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_;
+  }
+  // Waits until at least `n` responses arrived; false on timeout.
+  bool AwaitCount(size_t n, std::chrono::milliseconds timeout =
+                                std::chrono::seconds(10)) const {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (responses().size() < n) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
 
  private:
   mutable std::mutex mutex_;
   std::vector<ResponseFrame> responses_;
+  std::vector<std::thread::id> threads_;
 };
 
-// A sink whose first SendResponse blocks until Release() — wedges a shard
-// worker so the test can fill its queue deterministically.
+// A sink whose first SendResponse blocks until Release() — wedges the
+// worker answering it, so a test can take workers out one at a time.
 class BlockingSink : public CollectSink {
  public:
   void SendResponse(const ResponseFrame& response) override {
@@ -390,43 +410,93 @@ TEST(ShardSetTest, NoSnapshotYetIsAnErrorResponse) {
   EXPECT_NE(responses[0].error.find("snapshot"), std::string::npos);
 }
 
-// Admission control: with the single shard's worker wedged and its queue
-// full, the next Submit is rejected synchronously with kOverloaded — the
-// queue never grows past its cap and nothing is silently dropped.
+// Admission control: with every worker wedged and the shared queue at
+// its bound (queue_cap x workers), the next Submit is rejected
+// synchronously with kOverloaded — the queue never grows past its cap
+// and nothing is silently dropped.
 TEST(ShardSetTest, FullQueueRejectsWithOverload) {
   SnapshotRegistry registry;
   registry.Publish(MakeSnapshot(50, 10, 8, 5, 1));
   ShardSetConfig config;
-  config.num_shards = 1;
+  config.num_shards = 2;
   config.queue_cap = 2;
   ShardSet shards(&registry, config);
   shards.Start();
 
-  auto blocking = std::make_shared<BlockingSink>();
+  // Wedge both workers, one at a time, on requests 0 and 1...
+  std::vector<std::shared_ptr<BlockingSink>> wedges;
+  for (int w = 0; w < config.num_shards; ++w) {
+    wedges.push_back(std::make_shared<BlockingSink>());
+    ASSERT_TRUE(shards.Submit(MakeRequest(static_cast<uint64_t>(w), w, 3),
+                              wedges.back()));
+    wedges.back()->AwaitEntered();
+  }
+  // ...fill the queue to its total bound of 2 x 2...
   auto sink = std::make_shared<CollectSink>();
-  // Wedge the worker on request 0's response...
-  ASSERT_TRUE(shards.Submit(MakeRequest(0, 0, 3), blocking));
-  blocking->AwaitEntered();
-  // ...fill the queue to its cap...
-  ASSERT_TRUE(shards.Submit(MakeRequest(1, 1, 3), sink));
-  ASSERT_TRUE(shards.Submit(MakeRequest(2, 2, 3), sink));
+  for (uint64_t id = 2; id < 6; ++id) {
+    ASSERT_TRUE(shards.Submit(MakeRequest(id, static_cast<int>(id), 3), sink));
+  }
   // ...and the next submit must bounce, synchronously, on this thread.
-  EXPECT_FALSE(shards.Submit(MakeRequest(3, 3, 3), sink));
+  EXPECT_FALSE(shards.Submit(MakeRequest(6, 6, 3), sink));
   std::vector<ResponseFrame> responses = sink->responses();
   ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].request_id, 3u);
+  EXPECT_EQ(responses[0].request_id, 6u);
   EXPECT_EQ(responses[0].status, ResponseStatus::kOverloaded);
 
+  for (const auto& wedge : wedges) wedge->Release();
+  shards.Drain();
+  // Everything admitted before the bounce still got answered: no silent
+  // drops.
+  for (const auto& wedge : wedges) {
+    EXPECT_EQ(wedge->responses().size(), 1u);
+  }
+  responses = sink->responses();
+  ASSERT_EQ(responses.size(), 5u);
+  for (size_t i = 1; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].status, ResponseStatus::kOk);
+  }
+  const ShardSetStats stats = shards.stats();
+  EXPECT_EQ(stats.submitted, 6u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.answered, stats.submitted);
+}
+
+// Any idle worker answers any user. Under the old per-shard queues a
+// request waited behind a wedged worker whenever ShardOf(user) named
+// that worker's shard, while the other shard sat idle; with one shared
+// queue the idle worker takes it at once.
+TEST(ShardSetTest, IdleWorkerAnswersWhileAnotherIsWedged) {
+  SnapshotRegistry registry;
+  registry.Publish(MakeSnapshot(50, 40, 8, 7, 1));
+  ShardSetConfig config;
+  config.num_shards = 2;
+  ShardSet shards(&registry, config);
+  shards.Start();
+
+  const data::UserId wedged_user = 0;
+  data::UserId same_shard_user = 1;
+  while (ShardOf(same_shard_user, 2) != ShardOf(wedged_user, 2)) {
+    ++same_shard_user;
+  }
+  ASSERT_LT(same_shard_user, 40);
+
+  auto blocking = std::make_shared<BlockingSink>();
+  ASSERT_TRUE(shards.Submit(MakeRequest(0, wedged_user, 5), blocking));
+  blocking->AwaitEntered();
+  auto sink = std::make_shared<CollectSink>();
+  ASSERT_TRUE(shards.Submit(MakeRequest(1, same_shard_user, 5), sink));
+  // Answered while the wedge is still held. Release before asserting so
+  // a failure cannot leave Drain() waiting on the wedged worker.
+  const bool answered_during_wedge = sink->AwaitCount(1);
   blocking->Release();
   shards.Drain();
-  // Everything admitted before the bounce still got answered.
-  EXPECT_EQ(blocking->responses().size(), 1u);
-  responses = sink->responses();
-  ASSERT_EQ(responses.size(), 3u);
-  const ShardSetStats stats = shards.stats();
-  EXPECT_EQ(stats.submitted, 3u);
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(stats.answered, 3u);
+  EXPECT_TRUE(answered_during_wedge)
+      << "request for user " << same_shard_user
+      << " waited behind the wedged worker";
+  const std::vector<ResponseFrame> responses = sink->responses();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, ResponseStatus::kOk);
+  EXPECT_EQ(shards.stats().answered, 2u);
 }
 
 // The heart of the tentpole's consistency claim: while snapshots publish
@@ -710,6 +780,91 @@ TEST(ShardSetTest, CacheHitIsBitwiseIdenticalToColdScore) {
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_evictions, 0u);
   EXPECT_GT(stats.cache_bytes, 0u);
+}
+
+// The cache is striped by user, not owned by a worker: a user's repeats
+// are answered by different workers and every repeat after the first is
+// a hit whose frame is byte-identical to the cold-scored one. Workers
+// are steered by wedging all but one, so each repeat has exactly one
+// free worker to land on.
+TEST(ShardSetTest, CacheHitsAcrossWorkersShareOneStripe) {
+  const int kWorkers = 4;
+  const int kTopN = 6;
+  SnapshotRegistry registry;
+  registry.Publish(MakeSnapshot(80, 16, 8, 41, 1));
+  ShardSetConfig config;
+  config.num_shards = kWorkers;
+  config.cache_bytes = 1 << 20;
+  ShardSet shards(&registry, config);
+  shards.Start();
+
+  // Wedge requests use users 1, 2, ...; each wedges whichever worker is
+  // free when it is submitted.
+  std::vector<std::shared_ptr<BlockingSink>> wedges;
+  const auto wedge_one = [&] {
+    wedges.push_back(std::make_shared<BlockingSink>());
+    const int user = static_cast<int>(wedges.size());
+    ASSERT_TRUE(shards.Submit(MakeRequest(1000 + wedges.size(), user, kTopN),
+                              wedges.back()));
+    wedges.back()->AwaitEntered();
+  };
+  auto sink = std::make_shared<CollectSink>();
+  const data::UserId kUser = 0;
+  // Same request_id on purpose: frames must be memcmp-equal end to end.
+  const auto ask = [&] {
+    const size_t before = sink->responses().size();
+    ASSERT_TRUE(shards.Submit(MakeRequest(7, kUser, kTopN), sink));
+    ASSERT_TRUE(sink->AwaitCount(before + 1));
+  };
+
+  // Wedge workers A, B, C; the cold request lands on D.
+  for (int w = 0; w < kWorkers - 1; ++w) wedge_one();
+  ask();
+  // Then, each round: wedge the worker that just answered and free the
+  // next wedged one, so the repeat lands on a worker that has not
+  // answered kUser yet.
+  for (int round = 0; round < kWorkers - 1; ++round) {
+    wedge_one();
+    wedges[static_cast<size_t>(round)]->Release();
+    ask();
+  }
+  for (const auto& wedge : wedges) wedge->Release();
+  shards.Drain();
+
+  const std::vector<ResponseFrame> responses = sink->responses();
+  const std::vector<std::thread::id> threads = sink->threads();
+  ASSERT_EQ(responses.size(), static_cast<size_t>(kWorkers));
+  ASSERT_EQ(responses[0].status, ResponseStatus::kOk);
+  const std::vector<uint8_t> cold = EncodeResponse(responses[0]);
+  for (size_t i = 1; i < responses.size(); ++i) {
+    EXPECT_EQ(EncodeResponse(responses[i]), cold) << "repeat " << i;
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_NE(threads[i], threads[j])
+          << "repeats " << j << " and " << i << " shared a worker";
+    }
+  }
+
+  // Lookups: one per wedge request (distinct users, all cold) and one
+  // per kUser request (one cold, the rest hits).
+  const ShardSetStats stats = shards.stats();
+  const uint64_t lookups = wedges.size() + responses.size();
+  EXPECT_EQ(stats.cache_hits, responses.size() - 1);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, lookups);
+  EXPECT_EQ(stats.cache_evictions, 0u);
+  // Resident bytes are the sum over stripes of every cached entry: one
+  // per distinct user, spread over more than one stripe.
+  uint64_t expected_bytes = ResponseCacheEntryBytes(responses[0].items);
+  std::vector<bool> stripe_used(kWorkers, false);
+  stripe_used[ShardOf(kUser, kWorkers)] = true;
+  for (size_t w = 0; w < wedges.size(); ++w) {
+    const std::vector<ResponseFrame> wedge_responses = wedges[w]->responses();
+    ASSERT_EQ(wedge_responses.size(), 1u);
+    ASSERT_EQ(wedge_responses[0].status, ResponseStatus::kOk);
+    expected_bytes += ResponseCacheEntryBytes(wedge_responses[0].items);
+    stripe_used[ShardOf(static_cast<data::UserId>(w + 1), kWorkers)] = true;
+  }
+  EXPECT_GT(std::count(stripe_used.begin(), stripe_used.end(), true), 1);
+  EXPECT_EQ(stats.cache_bytes, expected_bytes);
 }
 
 // Publishing a snapshot with different scoring content must invalidate

@@ -1,10 +1,14 @@
 // Tests for src/util: rng, math helpers, csv/table, flags, serialization.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "util/bounded_queue.h"
 #include "util/csv.h"
 #include "util/env.h"
 #include "util/flags.h"
@@ -417,6 +421,77 @@ TEST(LruCacheTest, ManyInsertsStayWithinBudget) {
   // The warm tail survived, the cold head did not.
   EXPECT_NE(cache.Get(199), nullptr);
   EXPECT_EQ(cache.Get(0), nullptr);
+}
+
+// PopBatch takes min(max_items, 1 + remaining / consumers) after its
+// blocking pop, where `remaining` is the depth left by that pop.
+TEST(BoundedQueueTest, PopBatchTakesFairShare) {
+  BoundedQueue<int> queue(128);
+  std::vector<int> out;
+  int next = 0;
+  const auto fill = [&](int n) {
+    for (int i = 0; i < n; ++i) ASSERT_TRUE(queue.TryPush(next++));
+  };
+
+  // Depth 0 behind the first item: a batch of one.
+  fill(1);
+  ASSERT_TRUE(queue.PopBatch(&out, /*max_items=*/8, /*consumers=*/4));
+  EXPECT_EQ(out, std::vector<int>({0}));
+
+  // Depth below the consumer count: one item per pop, so each of the
+  // other consumers finds work instead of one batch swallowing it all.
+  fill(3);
+  for (int expected = 1; expected <= 3; ++expected) {
+    ASSERT_TRUE(queue.PopBatch(&out, 8, 4));
+    EXPECT_EQ(out, std::vector<int>({expected}));
+  }
+  EXPECT_EQ(queue.size(), 0u);
+
+  // Depth 9 over 4 consumers: 1 + 8 / 4 = 3, in FIFO order.
+  fill(9);
+  ASSERT_TRUE(queue.PopBatch(&out, 8, 4));
+  EXPECT_EQ(out, std::vector<int>({4, 5, 6}));
+  EXPECT_EQ(queue.size(), 6u);
+  ASSERT_TRUE(queue.PopBatch(&out, 8, 1));  // one consumer takes it all
+  EXPECT_EQ(out.size(), 6u);
+  EXPECT_EQ(out.front(), 7);
+
+  // Depth far beyond max_items: a full batch, whatever the share.
+  fill(100);
+  ASSERT_TRUE(queue.PopBatch(&out, 8, 4));
+  EXPECT_EQ(out.size(), 8u);
+  EXPECT_EQ(out.front(), 13);
+  ASSERT_TRUE(queue.PopBatch(&out, 8, 1));
+  EXPECT_EQ(out.size(), 8u);
+  EXPECT_EQ(out.front(), 21);
+  EXPECT_EQ(queue.size(), 84u);
+}
+
+TEST(BoundedQueueTest, PopBatchDrainsThenReportsCloseToWaiter) {
+  BoundedQueue<int> queue(8);
+  std::vector<int> out;
+
+  // Items pending at Close still drain; then end-of-stream.
+  ASSERT_TRUE(queue.TryPush(1));
+  ASSERT_TRUE(queue.TryPush(2));
+  queue.Close();
+  EXPECT_FALSE(queue.TryPush(3));
+  ASSERT_TRUE(queue.PopBatch(&out, 8, 1));
+  EXPECT_EQ(out, std::vector<int>({1, 2}));
+  EXPECT_FALSE(queue.PopBatch(&out, 8, 1));
+  EXPECT_TRUE(out.empty());
+
+  // A consumer blocked on an empty queue wakes with false on Close.
+  BoundedQueue<int> empty(8);
+  bool popped = true;
+  std::vector<int> waiter_out = {42};
+  std::thread waiter(
+      [&] { popped = empty.PopBatch(&waiter_out, 4, 2); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  empty.Close();
+  waiter.join();
+  EXPECT_FALSE(popped);
+  EXPECT_TRUE(waiter_out.empty());
 }
 
 TEST(FlagSetTest, SuggestFlagNameRespectsDistanceBudget) {

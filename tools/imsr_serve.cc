@@ -1,4 +1,4 @@
-// imsr_serve — long-lived sharded recommendation server speaking the
+// imsr_serve — long-lived concurrent recommendation server speaking the
 // serve/protocol framing over a Unix-domain or TCP socket.
 //
 // Boot modes (exactly one):
@@ -120,19 +120,24 @@ void PublishSnapshot(const models::MsrModel& model,
 
 int main(int argc, char** argv) {
   util::FlagSet flags("imsr_serve",
-                      "sharded concurrent recommendation server");
+                      "concurrent recommendation server");
   flags.AddString("socket", "", "unix-domain socket path to listen on");
   flags.AddInt("port", 0,
                "tcp port on 127.0.0.1 when --socket is empty (0 = "
                "ephemeral)");
-  flags.AddInt("shards", 4, "worker shards (hash-routed by user id)");
+  flags.AddInt("shards", 4,
+               "worker threads sharing one admission queue; also the "
+               "number of response-cache stripes (hash of user id)");
   flags.AddInt("queue_cap", 256,
-               "per-shard queue bound; full queues reject with overload");
+               "admission bound per worker (total bound = queue_cap x "
+               "shards); a full queue rejects with overload");
   flags.AddInt("batch_max", 32,
-               "max requests a shard scores per queue drain (1 = the "
-               "unbatched pop-score-respond loop)");
+               "max requests a worker scores per queue drain, capped by "
+               "its fair share of the queue (1 = the unbatched "
+               "pop-score-respond loop)");
   flags.AddInt("cache_mb", 64,
-               "total response-cache budget in MiB, split across shards");
+               "total response-cache budget in MiB, split across the "
+               "stripes");
   flags.AddString("cache", "on",
                   "response cache (on | off); off ignores --cache_mb");
   flags.AddString("republish", "shared",
@@ -337,11 +342,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!server_config.unix_path.empty()) {
-    std::printf("listening on unix:%s (%d shards)\n",
+    std::printf("listening on unix:%s (%d workers)\n",
                 server_config.unix_path.c_str(),
                 server_config.shards.num_shards);
   } else {
-    std::printf("listening on tcp:127.0.0.1:%d (%d shards)\n",
+    std::printf("listening on tcp:127.0.0.1:%d (%d workers)\n",
                 server.port(), server_config.shards.num_shards);
   }
   std::fflush(stdout);
@@ -355,7 +360,7 @@ int main(int argc, char** argv) {
   };
   if (!replay.empty()) {
     // In-process StreamTrainer: micro-span publishes (IVF builds under
-    // ivf) land in the shared registry while shards serve from it. The
+    // ivf) land in the shared registry while workers serve from it. The
     // service polls the global shutdown flag, so SIGINT stops training
     // and serving together.
     background = std::thread([&] {
@@ -411,7 +416,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.accepted),
       static_cast<unsigned long long>(stats.protocol_errors),
       static_cast<unsigned long long>(registry.versions_published()));
-  // Batch/cache accounting from the shard atomics, so the smoke harness
+  // Batch/cache accounting from the ShardSet atomics, so the smoke harness
   // can assert on it in every build (obs included or compiled out).
   const double mean_batch =
       shard_stats.batches > 0
