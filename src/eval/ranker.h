@@ -6,7 +6,8 @@
 // The scoring path is allocation-free per user when driven through
 // RankScratch: logits = E H^T come from the blocked MatMulTransB kernel
 // (no materialised Transpose) into a reused buffer, and the per-item
-// attentive/max reduction is fused into a single pass.
+// attentive/max reduction runs in SIMD lanes across items over a
+// k-major copy of each item block.
 #ifndef IMSR_EVAL_RANKER_H_
 #define IMSR_EVAL_RANKER_H_
 
@@ -29,38 +30,45 @@ bool ScoreRuleFromName(const std::string& name, ScoreRule* rule,
 
 // Per-item reduction over one row of K interest logits: max_k for
 // kMaxInterest, the softmax-weighted combination (Eq. 5 with the
-// candidate as query) for kAttentive. ScoreAllItemsInto applies this to
-// every row of the logits matrix; the IVF re-rank applies it to shortlist
-// rows — sharing one definition keeps the two paths bitwise identical.
+// candidate as query) for kAttentive, with nn::ExpApprox as the exp.
+// The IVF index applies it to its few re-rank rows;
+// ScoresFromKMajorLogits is its lane form. Both run the same per-item
+// operation sequence (max over j ascending, then exp, total and
+// weighted sums over j ascending, one divide), so they return the same
+// bits and every path that scores an item agrees with every other.
 float ScoreFromLogits(const float* row, int64_t k, ScoreRule rule);
 
-// The full-corpus form: applies ScoreFromLogits to each of `num_items`
-// contiguous rows of K logits. ScoreAllItemsInto uses it on its own
-// E H^T product; serve::RecommendBatch applies it to fused per-user
-// logits — one definition keeps every path bitwise identical.
-void ScoresFromLogits(const float* logits, int64_t num_items, int64_t k,
-                      ScoreRule rule, float* scores);
+// Lane form of ScoreFromLogits over a k-major logits tile: item i's
+// logit for interest j is tile[j * ld + i], for i < rows and j < k.
+// Writes scores[i] for every item. The passes over j each run one
+// contiguous loop over items, so SIMD lanes carry independent items
+// while every item's j-order stays sequential: the result is
+// memcmp-equal to ScoreFromLogits on item i's K logits at any vector
+// width (and under -DIMSR_SIMD=OFF, where it compiles scalar). A user's
+// columns inside a fused multi-user tile are read by passing
+// tile + column_offset * ld — the serve micro-batch (DESIGN.md §15).
+void ScoresFromKMajorLogits(const float* tile, int64_t rows, int64_t ld,
+                            int64_t k, ScoreRule rule, float* scores);
 
-// Strided form for fused multi-user logit matrices: item i's K logits
-// start at logits + i * stride + offset (contiguous within the row).
-// ScoresFromLogits is the stride == k, offset == 0 case; both run the
-// same per-row reduction, so a user's scores read out of a fused
-// (num_items x total_k) product are bitwise identical to scores from a
-// dedicated (num_items x k) one — the serve micro-batch relies on this
-// (DESIGN.md §15).
-void ScoresFromLogitsStrided(const float* logits, int64_t num_items,
-                             int64_t k, int64_t stride, int64_t offset,
-                             ScoreRule rule, float* scores);
+// Row-major form: item i's K logits are logits[i * k .. i * k + k).
+// Copies each block of up to 1024 rows k-major into `tile` (resized as
+// needed; a pure permutation) and runs ScoresFromKMajorLogits on it, so
+// scores[i] has ScoreFromLogits' bits. ScoreAllItemsInto uses it on its
+// E H^T product, the IVF index on its shortlist's approximate logits.
+void ScoresFromLogits(const float* logits, int64_t num_items, int64_t k,
+                      ScoreRule rule, nn::Tensor* tile, float* scores);
 
 // Reusable buffers for repeated full-corpus scoring (one per worker
 // thread in the evaluator; never shared across threads concurrently).
 struct RankScratch {
-  nn::Tensor logits;          // (num_items x K), reused across users
+  nn::Tensor logits;          // logits buffer, reused across users
+  nn::Tensor tile;            // (K x block) k-major copy of a logits block
   std::vector<float> scores;  // num_items
 };
 
 // Scores every item into scratch->scores (resized to num_items), reusing
-// scratch->logits for the E H^T product.
+// scratch->logits for the row-major E H^T product and scratch->tile for
+// the k-major copy of each item block that the lane reduction reads.
 void ScoreAllItemsInto(const nn::Tensor& interests,
                        const nn::Tensor& item_embeddings, ScoreRule rule,
                        RankScratch* scratch);
@@ -82,7 +90,10 @@ std::vector<float> ScoreAllItems(const nn::Tensor& interests,
 int64_t TargetRankFromScores(const std::vector<float>& scores,
                              data::ItemId target);
 
-// Top-N (item, score) pairs from precomputed scores, highest first.
+// Top-N (item, score) pairs from precomputed scores: score descending,
+// ties by item id ascending — the order IvfIndex::SearchTopN returns, so
+// exact and full-probe IVF answers agree even on tied scores. A bounded
+// selection over the scores: no per-call O(num_items) buffer.
 std::vector<std::pair<data::ItemId, float>> TopNFromScores(
     const std::vector<float>& scores, int n);
 

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "nn/exp_approx.h"
 #include "nn/simd.h"
 #include "util/buffer_pool.h"
 #include "util/hot.h"
@@ -600,16 +601,21 @@ IMSR_HOT_END
 // scalar dot exactly.)
 //
 // Row indices are panel-relative; `po` points at the output for row
-// r_begin — stores are range-relative, so a caller can hand each row
-// range its own tile (the blocked serve scoring loop) or offsets into
-// one full matrix (the parallel split).
+// r_begin, and output element (row r, column j) lands at
+// po[(r - r_begin) * row_stride + j * col_stride] — item-major
+// (row_stride n, col_stride 1) for the full product, k-major
+// (row_stride 1, col_stride = tile rows) for the serve tile, whose
+// stores are then contiguous vectors. Stores are range-relative, so a
+// caller can hand each row range its own tile (the blocked serve
+// scoring loop) or offsets into one full matrix (the parallel split).
 IMSR_HOT_BEGIN
 IMSR_SIMD_CLONES
 void MatMulTransBPanelRows(const float* __restrict__ pat,
                            const float* __restrict__ pb,
                            float* __restrict__ po, int64_t r_begin,
                            int64_t r_end, int64_t panel_rows, int64_t k,
-                           int64_t n) {
+                           int64_t n, int64_t row_stride,
+                           int64_t col_stride) {
   constexpr int64_t kLanes = 16;  // output rows advanced per vector group
   constexpr int64_t kCols = 4;    // b rows per register tile
   int64_t i = r_begin;
@@ -629,9 +635,16 @@ void MatMulTransBPanelRows(const float* __restrict__ pat,
           for (int64_t l = 0; l < kLanes; ++l) acc[jj][l] += bjk * acol[l];
         }
       }
+      float* __restrict__ tile = po + (i - r_begin) * row_stride;
       for (int64_t jj = 0; jj < jn; ++jj) {
-        for (int64_t l = 0; l < kLanes; ++l) {
-          po[(i - r_begin + l) * n + jb + jj] = acc[jj][l];
+        float* __restrict__ out = tile + (jb + jj) * col_stride;
+        if (row_stride == 1) {
+          IMSR_SIMD_PRAGMA()
+          for (int64_t l = 0; l < kLanes; ++l) out[l] = acc[jj][l];
+        } else {
+          for (int64_t l = 0; l < kLanes; ++l) {
+            out[l * row_stride] = acc[jj][l];
+          }
         }
       }
     }
@@ -639,24 +652,26 @@ void MatMulTransBPanelRows(const float* __restrict__ pat,
   // Scalar remainder: same per-element kk order, so where the split lands
   // cannot change a bit.
   for (; i < r_end; ++i) {
-    float* __restrict__ orow = po + (i - r_begin) * n;
+    float* __restrict__ orow = po + (i - r_begin) * row_stride;
     for (int64_t j = 0; j < n; ++j) {
       const float* __restrict__ brow = pb + j * k;
       float acc = 0.0f;
       for (int64_t kk = 0; kk < k; ++kk) {
         acc += pat[kk * panel_rows + i] * brow[kk];
       }
-      orow[j] = acc;
+      orow[j * col_stride] = acc;
     }
   }
 }
 IMSR_HOT_END
 
 // Walks the panels covering global rows [i_begin, i_end), writing
-// range-relative output — shared by the public range entry and the
-// parallel chunks of the full entry.
+// range-relative output with the strides above — shared by the public
+// range entry (k-major tile) and the parallel chunks of the full entry
+// (item-major rows).
 void PanelRangeImpl(ConstMatrixView a_panels, ConstMatrixView b,
-                    int64_t i_begin, int64_t i_end, float* out) {
+                    int64_t i_begin, int64_t i_end, float* out,
+                    int64_t row_stride, int64_t col_stride) {
   const int64_t m = a_panels.rows;
   const int64_t k = a_panels.cols;
   const int64_t n = b.rows;
@@ -668,8 +683,8 @@ void PanelRangeImpl(ConstMatrixView a_panels, ConstMatrixView b,
     const int64_t r0 = i - p0;
     const int64_t r1 = std::min<int64_t>(panel_rows, i_end - p0);
     MatMulTransBPanelRows(a_panels.data + p0 * k, b.data, po, r0, r1,
-                          panel_rows, k, n);
-    po += (r1 - r0) * n;
+                          panel_rows, k, n, row_stride, col_stride);
+    po += (r1 - r0) * row_stride;
     i = p0 + r1;
   }
 }
@@ -808,10 +823,10 @@ void MatMulTransBPanelInto(ConstMatrixView a_panels, ConstMatrixView b,
   if (m * k * n >= kParallelWorkThreshold) {
     util::GlobalPool().ParallelFor(
         m, RowGrain(m, k * n), [&](int64_t begin, int64_t end) {
-          PanelRangeImpl(a_panels, b, begin, end, po + begin * n);
+          PanelRangeImpl(a_panels, b, begin, end, po + begin * n, n, 1);
         });
   } else {
-    PanelRangeImpl(a_panels, b, 0, m, po);
+    PanelRangeImpl(a_panels, b, 0, m, po, n, 1);
   }
 }
 
@@ -828,8 +843,9 @@ void MatMulTransBPanelRangeInto(ConstMatrixView a_panels, ConstMatrixView b,
   // stays cache-resident between the matmul and the reduction that
   // follows; fanning a tile out would defeat that. Same kernel body as
   // the full entry, so where the caller draws block boundaries cannot
-  // change a bit.
-  PanelRangeImpl(a_panels, b, i_begin, i_end, out);
+  // change a bit. The tile is k-major: column j is a contiguous run of
+  // the range's rows, so the reduction after it runs lanes over items.
+  PanelRangeImpl(a_panels, b, i_begin, i_end, out, 1, i_end - i_begin);
 }
 
 void MatMulTransBGatherInto(const Tensor& a, ConstMatrixView b,
@@ -1054,37 +1070,6 @@ void SoftmaxSpanScalar(const float* in, float* out, int64_t n) {
     total += out[i];
   }
   for (int64_t i = 0; i < n; ++i) out[i] /= total;
-}
-
-// Branchless e^x for the vectorized softmax: Cephes-style range
-// reduction (x = n ln2 + r, |r| <= ln2/2), a degree-5 polynomial for
-// e^r, and 2^n built by exponent-field bit assembly — every step is
-// float arithmetic plus one int convert, so the whole loop vectorizes
-// where a libm call chain cannot. Max relative error ~2 ulp (~2.4e-7),
-// an order below the reduction-class tolerance the SIMD softmax already
-// carries for its reordered sum. Inputs are clamped to the finite-result
-// range, which also keeps the exponent assembly in bounds.
-inline float ExpApprox(float x) {
-  x = x < -87.33654f ? -87.33654f : x;
-  x = x > 88.72283f ? 88.72283f : x;
-  // Round x/ln2 to the nearest integer with the 1.5*2^23 magic-number
-  // trick (exact for |z| < 2^22; safe because -O2 never reassociates).
-  const float z = x * 1.44269504088896341f;
-  const float nf = (z + 12582912.0f) - 12582912.0f;
-  // Two-part ln2 keeps r = x - n*ln2 accurate to float precision.
-  const float r = (x - nf * 0.693359375f) - nf * -2.12194440e-4f;
-  float p = 1.9875691500e-4f;
-  p = p * r + 1.3981999507e-3f;
-  p = p * r + 8.3334519073e-3f;
-  p = p * r + 4.1665795894e-2f;
-  p = p * r + 1.6666665459e-1f;
-  p = p * r + 5.0000001201e-1f;
-  p = p * r * r + r + 1.0f;
-  const auto biased = static_cast<uint32_t>(static_cast<int32_t>(nf) + 127);
-  float scale;
-  const uint32_t bits = biased << 23;
-  std::memcpy(&scale, &bits, sizeof(scale));
-  return p * scale;
 }
 
 // Vectorized twin. fp-max is order-insensitive; the exp goes through the

@@ -330,12 +330,16 @@ void MatMulTransBPanelInto(ConstMatrixView a_panels, ConstMatrixView b,
                            Tensor* out);
 
 // Row-range form of MatMulTransBPanelInto: computes output rows
-// [i_begin, i_end) into `out`, which holds (i_end - i_begin) x b.rows
-// floats — block-relative, so a caller sweeping the corpus in item
-// blocks reuses one small tile that stays cache-resident for the
-// reduction that follows (the serve scoring loop, DESIGN.md §15). Runs
-// the identical kernel body serially; row i's bits match row i of the
-// full product exactly, wherever the block boundaries land.
+// [i_begin, i_end) into `out`, a block-relative tile stored k-major —
+// with rows = i_end - i_begin, element (i, j) lives at
+// out[j * rows + (i - i_begin)], so each of the b.rows columns is one
+// contiguous run over the block's items. A caller sweeping the corpus
+// in item blocks reuses one small tile that stays cache-resident for
+// the reduction that follows, and that reduction runs SIMD lanes across
+// items (eval::ScoresFromKMajorLogits; the serve scoring loop,
+// DESIGN.md §15). Runs the identical kernel body serially; element
+// (i, j)'s bits match element (i, j) of the full product exactly,
+// wherever the block boundaries land.
 void MatMulTransBPanelRangeInto(ConstMatrixView a_panels, ConstMatrixView b,
                                 int64_t i_begin, int64_t i_end, float* out);
 

@@ -328,7 +328,6 @@ void IvfIndex::SearchTopN(
   scratch->query_codes.resize(
       static_cast<size_t>(num_interests * dim_));
   scratch->query_scales.resize(static_cast<size_t>(num_interests));
-  scratch->approx_row.resize(static_cast<size_t>(num_interests));
   for (int64_t j = 0; j < num_interests; ++j) {
     scratch->query_scales[static_cast<size_t>(j)] =
         QuantizeRow(interests.data + j * dim_, dim_,
@@ -336,7 +335,7 @@ void IvfIndex::SearchTopN(
   }
 
   scratch->candidates.clear();
-  scratch->approx_scores.clear();
+  scratch->approx_logits.clear();
   scratch->centroid_scores.resize(static_cast<size_t>(num_centroids));
   scratch->probe_order.resize(static_cast<size_t>(num_centroids));
   IvfSearchStats local;
@@ -372,18 +371,22 @@ void IvfIndex::SearchTopN(
         const int8_t* code = codes_.data() + p * dim_;
         const float scale = scales_[static_cast<size_t>(p)];
         for (int64_t jj = 0; jj < num_interests; ++jj) {
-          scratch->approx_row[static_cast<size_t>(jj)] =
+          scratch->approx_logits.push_back(
               scale * scratch->query_scales[static_cast<size_t>(jj)] *
               static_cast<float>(DotI8(
-                  code, scratch->query_codes.data() + jj * dim_, dim_));
+                  code, scratch->query_codes.data() + jj * dim_, dim_)));
         }
         scratch->candidates.push_back(item);
-        scratch->approx_scores.push_back(eval::ScoreFromLogits(
-            scratch->approx_row.data(), num_interests, rule));
       }
     }
   }
   local.shortlist = static_cast<int64_t>(scratch->candidates.size());
+  // One lane reduction over every candidate's approximate logits: the
+  // same bits as ScoreFromLogits per candidate, at vector speed.
+  scratch->approx_scores.resize(scratch->candidates.size());
+  eval::ScoresFromLogits(scratch->approx_logits.data(), local.shortlist,
+                         num_interests, rule, &scratch->approx_tile,
+                         scratch->approx_scores.data());
 
   top->clear();
   if (!scratch->candidates.empty()) {

@@ -147,8 +147,9 @@ class IvfIndex {
     uint32_t epoch = 0;
     std::vector<int8_t> query_codes;   // K x d quantized interests
     std::vector<float> query_scales;   // K
-    std::vector<float> approx_row;     // K approx logits per candidate
     std::vector<int64_t> candidates;   // unique probed item ids
+    std::vector<float> approx_logits;  // K approx logits per candidate
+    nn::Tensor approx_tile;            // k-major block of approx_logits
     std::vector<float> approx_scores;  // parallel to candidates
     std::vector<int32_t> selected;     // shortlist selection order
     std::vector<int64_t> rerank_rows;  // shortlist ids in re-rank order

@@ -11,7 +11,7 @@ namespace imsr::serve {
 namespace {
 
 // Item rows scored per block of the exact-path sweep. The block's logits
-// tile (block x total_k floats) must stay cache-resident between the
+// tile (total_k x block floats) must stay cache-resident between the
 // matmul that fills it and the reduction that drains it — that locality
 // is the whole point of blocking; a corpus-sized logits matrix thrashes
 // every level once total_k grows past a few interests. Equal to the
@@ -23,14 +23,15 @@ namespace {
 constexpr int64_t kScoreBlockRows = nn::kKMajorPanelRows;
 
 // The one exact-scoring body every serve path reduces to: logits from
-// the k-major table through the width-invariant kernel, then the fused
-// per-item reduction, swept in item blocks so the tile never leaves
-// cache. `interests` may be one user's snapshot view or several users'
-// rows packed into one operand — the kernel's bits do not depend on the
-// width and the reduction is independent per item, which is exactly why
-// RecommendBatch can fuse and block and still memcmp-match RecommendOne.
-// (The evaluator keeps its own ScoreAllItemsInto on the row-major table;
-// serve owns this layout.)
+// the k-major table through the width-invariant kernel into a k-major
+// tile, then the lane reduction across the tile's items, swept in item
+// blocks so the tile never leaves cache. `interests` may be one user's
+// snapshot view or several users' rows packed into one operand — the
+// kernel's bits do not depend on the width and the reduction is
+// independent per item, which is exactly why RecommendBatch can fuse
+// and block and still memcmp-match RecommendOne. (The evaluator keeps
+// its own ScoreAllItemsInto on the row-major table; serve owns this
+// layout.)
 void ScoreExactInto(const ServingSnapshot& snapshot,
                     nn::ConstMatrixView interests, eval::ScoreRule rule,
                     eval::RankScratch* scratch) {
@@ -38,14 +39,14 @@ void ScoreExactInto(const ServingSnapshot& snapshot,
   const int64_t k = interests.rows;
   const nn::ConstMatrixView table =
       nn::ViewOf(snapshot.item_embeddings_kmajor());
-  scratch->logits.ResizeUninitialized({kScoreBlockRows, k});
+  scratch->logits.ResizeUninitialized({k, kScoreBlockRows});
   scratch->scores.resize(static_cast<size_t>(num_items));
   for (int64_t b0 = 0; b0 < num_items; b0 += kScoreBlockRows) {
     const int64_t b1 = std::min<int64_t>(num_items, b0 + kScoreBlockRows);
     nn::MatMulTransBPanelRangeInto(table, interests, b0, b1,
                                    scratch->logits.data());
-    eval::ScoresFromLogits(scratch->logits.data(), b1 - b0, k, rule,
-                           scratch->scores.data() + b0);
+    eval::ScoresFromKMajorLogits(scratch->logits.data(), b1 - b0, b1 - b0,
+                                 k, rule, scratch->scores.data() + b0);
   }
 }
 
@@ -155,10 +156,10 @@ void RecommendBatch(const ServingSnapshot& snapshot,
   // blocks — the embedding table streams through cache once per batch
   // instead of once per user, and each block's fused logits tile is
   // reduced into every user's scores while still cache-hot. The kernel's
-  // bits are invariant to the operand width and the block split, and the
-  // strided per-user reduction shares ScoreFromLogits with the
-  // single-request path, so every response is bitwise identical to
-  // RecommendOne's.
+  // bits are invariant to the operand width and the block split, and each
+  // user's lane reduction over its own columns of the k-major tile is the
+  // single-request path's reduction, so every response is bitwise
+  // identical to RecommendOne's.
   std::vector<data::UserId>& users = scratch->batch_users;
   std::vector<int64_t>& user_slot = scratch->batch_user_slot;
   users.clear();
@@ -207,7 +208,7 @@ void RecommendBatch(const ServingSnapshot& snapshot,
   for (size_t u = 0; u < users.size(); ++u) {
     scores[u].resize(static_cast<size_t>(num_items));
   }
-  scratch->batch_logits.ResizeUninitialized({kScoreBlockRows, total_k});
+  scratch->batch_logits.ResizeUninitialized({total_k, kScoreBlockRows});
   // Per-user interest counts hoisted out of the reduce loop.
   std::vector<int64_t>& user_k = scratch->batch_user_k;
   user_k.clear();
@@ -216,15 +217,15 @@ void RecommendBatch(const ServingSnapshot& snapshot,
   }
   for (int64_t b0 = 0; b0 < num_items; b0 += kScoreBlockRows) {
     const int64_t b1 = std::min<int64_t>(num_items, b0 + kScoreBlockRows);
+    const int64_t rows = b1 - b0;
     nn::MatMulTransBPanelRangeInto(table, packed, b0, b1,
                                    scratch->batch_logits.data());
-    // One strided tile pass per user: the tile fits L2 at serving
-    // widths, so this beats a row-major interchange (which pays one
-    // ScoreFromLogits call per (item, user) for no bandwidth win).
+    // The tile is k-major, so a user's columns are one contiguous slab
+    // starting at its column offset.
     for (size_t u = 0; u < users.size(); ++u) {
-      eval::ScoresFromLogitsStrided(scratch->batch_logits.data(), b1 - b0,
-                                    user_k[u], total_k, col_offset[u],
-                                    config.rule, scores[u].data() + b0);
+      eval::ScoresFromKMajorLogits(
+          scratch->batch_logits.data() + col_offset[u] * rows, rows, rows,
+          user_k[u], config.rule, scores[u].data() + b0);
     }
   }
   // Responses come out in request order; duplicates copy the first

@@ -64,7 +64,7 @@ struct RecommendScratch {
   // bookkeeping vectors — kept here so steady-state batches reuse their
   // buffers.
   nn::Tensor batch_interests;
-  nn::Tensor batch_logits;  // (block_rows x total_interests) tile
+  nn::Tensor batch_logits;  // (total_interests x block_rows) k-major tile
   std::vector<std::vector<float>> batch_scores;  // per unique user
   std::vector<data::UserId> batch_users;
   std::vector<int64_t> batch_col_offset;  // per unique user, into logits

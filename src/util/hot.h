@@ -1,7 +1,12 @@
 // Hot-kernel optimization attributes. A handful of saxpy-shaped inner
-// loops (MatMulRows, MatMulTransARank1, the SIMD kernels in nn/tensor.cc)
-// want -O3's vectorizer even in the default -O2 build — strict IEEE, no
-// -ffast-math, so results stay deterministic. The raw
+// loops (MatMulRows, MatMulTransARank1, the SIMD kernels in nn/tensor.cc,
+// the lane score reduction in eval/ranker.cc) want -O3's vectorizer even
+// in the default -O2 build — strict IEEE, no -ffast-math, so results stay
+// deterministic. The blocks also drop -ftrapping-math: under it GCC
+// refuses to if-convert a float select such as ExpApprox's clamp
+// (`x < c ? c : x`) and reports the loop as "control flow in loop".
+// Trapping math only promises that FP exceptions stay observable, which
+// nothing here reads; no value changes. The raw
 // `#pragma GCC push_options / optimize("O3")` spelling is GCC-only:
 // clang defines __GNUC__ too but ignores those pragmas (with a warning
 // under -Weverything), so the blocks are wrapped in a macro that expands
@@ -15,8 +20,9 @@
 #define IMSR_UTIL_HOT_H_
 
 #if defined(__GNUC__) && !defined(__clang__)
-#define IMSR_HOT_BEGIN \
-  _Pragma("GCC push_options") _Pragma("GCC optimize(\"O3\")")
+#define IMSR_HOT_BEGIN                 \
+  _Pragma("GCC push_options")          \
+      _Pragma("GCC optimize(\"O3\", \"no-trapping-math\")")
 #define IMSR_HOT_END _Pragma("GCC pop_options")
 #else
 // Clang (and anything else): per-function optimization pragmas are not
@@ -24,6 +30,16 @@
 // (nn/simd.h), which clang honours under -fopenmp-simd at any -O level.
 #define IMSR_HOT_BEGIN
 #define IMSR_HOT_END
+#endif
+
+// Forces a small helper into its callers. GCC will not inline a plain
+// inline function into a caller compiled under different optimize()
+// options (every IMSR_HOT_BEGIN block), and a call left in a loop stops
+// that loop from vectorizing; always_inline overrides the mismatch.
+#if defined(__GNUC__)
+#define IMSR_ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define IMSR_ALWAYS_INLINE inline
 #endif
 
 #endif  // IMSR_UTIL_HOT_H_

@@ -436,6 +436,82 @@ TEST(IvfEdgeTest, DuplicateEmbeddingsRankByAscendingId) {
   }
 }
 
+// Exact-path twin of the test above: with every row identical every
+// exact score ties, and RecommendOne, RecommendBatch and TopNItems must
+// all surface ids 0..N-1 — the order full-probe IVF returns — so the two
+// retrieval modes agree even on ties. 2500 items span three scoring
+// blocks, so a tie across a block seam is ordered by id too.
+TEST(IvfEdgeTest, ExactPathDuplicateEmbeddingsRankByAscendingId) {
+  constexpr int64_t kItems = 2500;
+  constexpr int64_t kDim = 4;
+  constexpr int kTopN = 9;
+  nn::Tensor embeddings = nn::Tensor::Uninitialized({kItems, kDim});
+  for (int64_t i = 0; i < embeddings.numel(); ++i) {
+    embeddings.data()[i] = 0.25f * static_cast<float>(1 + (i % kDim));
+  }
+  // Two users: one interest, and three (the attentive reduce's ties).
+  const std::vector<float> one = {1.0f, -0.5f, 0.25f, 0.75f};
+  const std::vector<float> three = {1.0f, -0.5f, 0.25f, 0.75f,  //
+                                    -1.0f, 0.5f, 2.0f, 0.0f,    //
+                                    0.3f, 0.3f, -0.3f, 0.9f};
+  const core::PackedInterests packed = PackInterests({one, three}, kDim);
+  const ServingSnapshot snapshot(embeddings, packed, /*span=*/1);
+  const IvfIndex index(embeddings, core::PackedInterests{},
+                       IvfBuildConfig{});
+  for (const auto rule :
+       {eval::ScoreRule::kAttentive, eval::ScoreRule::kMaxInterest}) {
+    ServeConfig config;
+    config.rule = rule;
+    std::vector<RecommendRequest> requests(2);
+    for (data::UserId user = 0; user < 2; ++user) {
+      requests[static_cast<size_t>(user)].user = user;
+      requests[static_cast<size_t>(user)].top_n = kTopN;
+    }
+    RecommendScratch scratch;
+    std::vector<RecommendResponse> batch(requests.size());
+    RecommendBatch(snapshot, requests.data(), requests.size(), config,
+                   &scratch, batch.data());
+    for (data::UserId user = 0; user < 2; ++user) {
+      SCOPED_TRACE("user " + std::to_string(user) + " rule " +
+                   eval::ScoreRuleName(rule));
+      RecommendResponse single;
+      RecommendOne(snapshot, requests[static_cast<size_t>(user)], config,
+                   &scratch, &single);
+      ASSERT_TRUE(single.ok) << single.error;
+      ASSERT_EQ(single.items.size(), static_cast<size_t>(kTopN));
+      for (int r = 0; r < kTopN; ++r) {
+        EXPECT_EQ(single.items[static_cast<size_t>(r)].first,
+                  static_cast<data::ItemId>(r));
+        EXPECT_EQ(single.items[static_cast<size_t>(r)].second,
+                  single.items[0].second);
+      }
+      EXPECT_EQ(batch[static_cast<size_t>(user)].items, single.items);
+      // The row-major and gathered kernels may round the shared score
+      // differently from the serve panel kernel, so across paths the
+      // ids are what must agree.
+      auto ids = [](const std::vector<std::pair<data::ItemId, float>>& top) {
+        std::vector<data::ItemId> out;
+        for (const auto& entry : top) out.push_back(entry.first);
+        return out;
+      };
+      const nn::ConstMatrixView interests = snapshot.Interests(user);
+      nn::Tensor interest_tensor =
+          nn::Tensor::Uninitialized({interests.rows, kDim});
+      std::copy_n(interests.data, interests.rows * kDim,
+                  interest_tensor.data());
+      EXPECT_EQ(
+          ids(eval::TopNItems(interest_tensor, embeddings, kTopN, rule)),
+          ids(single.items));
+      IvfIndex::Scratch ivf_scratch;
+      std::vector<std::pair<data::ItemId, float>> ivf_top;
+      index.SearchTopN(interests, embeddings, rule, kTopN,
+                       static_cast<int>(index.num_centroids()), &ivf_scratch,
+                       &ivf_top);
+      EXPECT_EQ(ids(ivf_top), ids(single.items));
+    }
+  }
+}
+
 TEST(IvfEdgeTest, ZeroNormRowsAndZeroQuery) {
   // Zero rows exercise the quantization scale guard (scale = 1 instead
   // of 0/127); an all-zero query must still retrieve without NaNs.

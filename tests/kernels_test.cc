@@ -3,7 +3,11 @@
 // identical results regardless of the pool's thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "eval/ranker.h"
@@ -249,19 +253,185 @@ TEST(KernelsTest, MatMulTransBPanelFusedColumnsMatchPerOperand) {
     offset += w;
   }
   // Range sweep: odd-sized blocks that do not divide the panel size, so
-  // some cross the panel seam mid-block.
+  // some cross the panel seam mid-block. The range tile is k-major:
+  // element (i, j) at tile[j * rows + (i - b0)].
   std::vector<float> tile(707 * total);
   for (int64_t b0 = 0; b0 < m; b0 += 707) {
     const int64_t b1 = std::min<int64_t>(m, b0 + 707);
+    const int64_t rows = b1 - b0;
     nn::MatMulTransBPanelRangeInto(nn::ViewOf(panels), nn::ViewOf(packed),
                                    b0, b1, tile.data());
     for (int64_t i = b0; i < b1; ++i) {
       for (int64_t j = 0; j < total; ++j) {
-        ASSERT_EQ(tile[static_cast<size_t>((i - b0) * total + j)],
+        ASSERT_EQ(tile[static_cast<size_t>(j * rows + (i - b0))],
                   fused.at(i, j))
             << "block@" << b0 << " i=" << i << " j=" << j;
       }
     }
+  }
+}
+
+// Lays `rows` row-major rows of k logits out k-major the way the serve
+// micro-batch does: `lead` columns of another user first, then this
+// user's k columns, leading dimension ld = rows + pad. Every slot that
+// is not one of this user's logits holds NaN, so a lane reduction that
+// read outside its columns or rows would return NaN.
+std::vector<float> KMajorTile(const std::vector<float>& row_major,
+                              int64_t rows, int64_t k, int64_t lead,
+                              int64_t pad) {
+  const int64_t ld = rows + pad;
+  std::vector<float> tile(static_cast<size_t>((lead + k) * ld),
+                          std::numeric_limits<float>::quiet_NaN());
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < k; ++j) {
+      tile[static_cast<size_t>((lead + j) * ld + i)] =
+          row_major[static_cast<size_t>(i * k + j)];
+    }
+  }
+  return tile;
+}
+
+// The lane form against scalar ScoreFromLogits on each item's row:
+// memcmp over every score, both rules.
+void ExpectLaneMatchesScalar(const std::vector<float>& row_major,
+                             int64_t rows, int64_t k) {
+  const int64_t lead = 2, pad = 3, ld = rows + pad;
+  const std::vector<float> tile = KMajorTile(row_major, rows, k, lead, pad);
+  for (const auto rule :
+       {eval::ScoreRule::kAttentive, eval::ScoreRule::kMaxInterest}) {
+    std::vector<float> lane(static_cast<size_t>(rows));
+    eval::ScoresFromKMajorLogits(tile.data() + lead * ld, rows, ld, k, rule,
+                                 lane.data());
+    std::vector<float> scalar(static_cast<size_t>(rows));
+    for (int64_t i = 0; i < rows; ++i) {
+      scalar[static_cast<size_t>(i)] =
+          eval::ScoreFromLogits(row_major.data() + i * k, k, rule);
+    }
+    EXPECT_EQ(std::memcmp(lane.data(), scalar.data(),
+                          lane.size() * sizeof(float)),
+              0)
+        << "rows=" << rows << " k=" << k
+        << " rule=" << eval::ScoreRuleName(rule);
+  }
+}
+
+// Lane counts straddle every vector width and the 64-item chunk; K
+// covers the single-interest case, the paper's K = 4 and expanded users.
+TEST(KernelsTest, LaneScoreReductionMatchesScalarBitwise) {
+  util::Rng rng(115);
+  for (int64_t k : {1, 2, 3, 4, 5, 8, 17}) {
+    for (int64_t rows : {1, 15, 16, 17, 1023, 1024, 1025}) {
+      std::vector<float> logits(static_cast<size_t>(rows * k));
+      for (float& x : logits) x = 4.0f * static_cast<float>(rng.NextGaussian());
+      ExpectLaneMatchesScalar(logits, rows, k);
+    }
+  }
+}
+
+TEST(KernelsTest, LaneScoreReductionEdgeLogits) {
+  // Spreads past ExpApprox's -87.3 clamp, huge positive logits, rows of
+  // equal logits and mixed signs, at a row count with a lane remainder.
+  const std::vector<std::vector<float>> patterns = {
+      {0.0f, -100.0f, -200.0f, 50.0f},
+      {-300.0f, 0.0f, -87.4f, -87.3f},
+      {80.0f, -20.0f, 80.0f, 79.0f},
+      {3.5f, 3.5f, 3.5f, 3.5f},
+      {-0.0f, 0.0f, -0.0f, 0.0f},
+      {1e-40f, -1e-40f, 0.0f, 1e-38f},
+      {1e30f, -1e30f, 0.0f, 1.0f},
+  };
+  const int64_t k = 4, rows = 37;
+  std::vector<float> logits;
+  for (int64_t i = 0; i < rows; ++i) {
+    const std::vector<float>& p = patterns[static_cast<size_t>(i) %
+                                           patterns.size()];
+    logits.insert(logits.end(), p.begin(), p.end());
+  }
+  ExpectLaneMatchesScalar(logits, rows, k);
+  std::vector<float> scores(static_cast<size_t>(rows));
+  eval::ScoresFromKMajorLogits(KMajorTile(logits, rows, k, 0, 0).data(),
+                               rows, rows, k, eval::ScoreRule::kAttentive,
+                               scores.data());
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* row = logits.data() + i * k;
+    const float top = *std::max_element(row, row + k);
+    const float score = scores[static_cast<size_t>(i)];
+    ASSERT_TRUE(std::isfinite(score)) << "row " << i;
+    // Every weight is at most 1 and the max logit's is exactly 1, so the
+    // score is a convex combination pulled toward the max.
+    EXPECT_LE(score, top + 1e-6f * std::max(1.0f, std::fabs(top)))
+        << "row " << i;
+  }
+  // Far below the clamp the other terms contribute ~2^-126 each: the
+  // score is the max logit.
+  EXPECT_EQ(scores[0], 50.0f);
+  EXPECT_EQ(scores[3], 3.5f);  // all equal: 4 * 3.5 / 4, exact
+}
+
+TEST(KernelsTest, LaneScoreReductionSingleInterestIsTheLogit) {
+  util::Rng rng(116);
+  std::vector<float> logits = {-0.0f, 0.0f,    1e-40f, -1e-40f,
+                               1e30f, -1e30f, 87.0f,  -90.0f};
+  for (int i = 0; i < 1017; ++i) {
+    logits.push_back(10.0f * static_cast<float>(rng.NextGaussian()));
+  }
+  const int64_t rows = static_cast<int64_t>(logits.size());
+  for (const auto rule :
+       {eval::ScoreRule::kAttentive, eval::ScoreRule::kMaxInterest}) {
+    std::vector<float> scores(logits.size());
+    eval::ScoresFromKMajorLogits(logits.data(), rows, rows, 1, rule,
+                                 scores.data());
+    EXPECT_EQ(std::memcmp(scores.data(), logits.data(),
+                          logits.size() * sizeof(float)),
+              0)
+        << eval::ScoreRuleName(rule);
+    for (int64_t i = 0; i < rows; ++i) {
+      const float one = eval::ScoreFromLogits(&logits[static_cast<size_t>(i)],
+                                              1, rule);
+      ASSERT_EQ(std::memcmp(&one, &logits[static_cast<size_t>(i)],
+                            sizeof(float)),
+                0)
+          << "item " << i;
+    }
+  }
+}
+
+// Attentive scores against a double-precision Eq. 5 on a random corpus,
+// at the bar perfbench's serve checks apply: 1e-5 * max(1, |ref|).
+TEST(KernelsTest, AttentiveScoresWithinDoubleReference) {
+  util::Rng rng(117);
+  const int64_t num_items = 2100, d = 32;
+  const nn::Tensor items = nn::Tensor::Randn({num_items, d}, rng);
+  eval::RankScratch scratch;
+  for (int64_t k : {1, 2, 4, 8}) {
+    const nn::Tensor interests = nn::Tensor::Randn({k, d}, rng);
+    eval::ScoreAllItemsInto(interests, items, eval::ScoreRule::kAttentive,
+                            &scratch);
+    double worst = 0.0;
+    for (int64_t i = 0; i < num_items; ++i) {
+      std::vector<double> logit(static_cast<size_t>(k));
+      for (int64_t j = 0; j < k; ++j) {
+        double dot = 0.0;
+        for (int64_t c = 0; c < d; ++c) {
+          dot += static_cast<double>(items.at(i, c)) *
+                 static_cast<double>(interests.at(j, c));
+        }
+        logit[static_cast<size_t>(j)] = dot;
+      }
+      const double top = *std::max_element(logit.begin(), logit.end());
+      double total = 0.0, weighted = 0.0;
+      for (double x : logit) {
+        total += std::exp(x - top);
+        weighted += std::exp(x - top) * x;
+      }
+      const double ref = weighted / total;
+      const double err =
+          std::fabs(static_cast<double>(scratch.scores[static_cast<size_t>(i)]) -
+                    ref) /
+          std::max(1.0, std::fabs(ref));
+      worst = std::max(worst, err);
+    }
+    EXPECT_LE(worst, 1e-5) << "k=" << k;
   }
 }
 
